@@ -513,9 +513,9 @@ func (c *Compilation) RunContext(ctx context.Context, mech sti.Mechanism, cfg Ru
 	}
 	cfg.Options.Tier = tierOn
 	cfg.Options.Image = b.ImageFor(tierOn)
-	// An engine worker's run reuses the worker's resident machine when the
-	// (image, config) shape matches — a Reset instead of a rebuild, so
-	// steady-state serving constructs nothing per run.
+	// An engine worker's run rebinds the worker's resident machine,
+	// whatever the program, so steady-state serving constructs nothing
+	// per run.
 	var m *vm.Machine
 	if cfg.Worker != nil {
 		m = cfg.Worker.MachineFor(b.Prog, cfg.Options)

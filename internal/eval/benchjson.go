@@ -95,7 +95,7 @@ type BenchRecord struct {
 	LoadTest *LoadTestRecord `json:"load_test,omitempty"`
 
 	// Memory behaviour of the steady-state run path: allocations and
-	// bytes per Reset+Run (pinned at zero by the execution-core contract),
+	// bytes per MachineFor+Run (pinned at zero by the execution-core contract),
 	// the tier's budget, and GC activity. A pointer, not omitempty values:
 	// zero IS the healthy measurement, so absence must mean "not measured".
 	Mem *MemBenchRecord `json:"mem,omitempty"`

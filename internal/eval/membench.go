@@ -27,8 +27,8 @@ import (
 // a pointer on BenchRecord and absence means "not measured".
 type MemBenchRecord struct {
 	// AllocsPerRun / BytesPerRun: average heap allocations and bytes per
-	// steady-state Reset+Run of the instrumented measurement workload on
-	// the switch interpreter. The execution-core contract pins both at 0.
+	// steady-state MachineFor+Run of the instrumented measurement workload
+	// on the switch interpreter. The execution-core contract pins both at 0.
 	AllocsPerRun float64 `json:"allocs_per_run"`
 	BytesPerRun  float64 `json:"bytes_per_run"`
 
@@ -108,38 +108,42 @@ func MeasureMemBench() (*MemBenchRecord, error) {
 		return nil, err
 	}
 
-	// warm builds a resident machine the way an engine worker holds one
-	// and pays all pool growth up front.
-	warm := func(tier bool) (*vm.Machine, error) {
-		opts := vm.DefaultOptions()
-		opts.Image = vm.NewImage(prog)
-		opts.Tier = tier
-		m := vm.New(prog, opts)
-		if _, err := m.Run(); err != nil {
-			return nil, err
+	// warm gives a worker its resident machine the way an engine worker
+	// holds one and pays all pool growth up front; every measured cycle
+	// then rebinds that machine through MachineFor, as a served run does.
+	type worker struct {
+		ws   *vm.WorkerState
+		opts vm.Options
+	}
+	warm := func(tier bool) (worker, *vm.Machine, error) {
+		w := worker{ws: vm.NewWorkerState(), opts: vm.DefaultOptions()}
+		w.opts.Image = vm.NewImage(prog)
+		w.opts.Tier = tier
+		var m *vm.Machine
+		for i := 0; i < 2; i++ {
+			m = w.ws.MachineFor(prog, w.opts)
+			if _, err := m.Run(); err != nil {
+				return w, nil, err
+			}
 		}
-		m.Reset()
-		if _, err := m.Run(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		return w, m, nil
 	}
 
-	interp, err := warm(false)
+	interp, m, err := warm(false)
 	if err != nil {
 		return nil, err
 	}
-	wantStats := modelledStats(interp.Stats)
+	wantStats := modelledStats(m.Stats)
 	rec := &MemBenchRecord{Runs: memBenchRuns}
 
 	var runErr error
-	cycle := func(m *vm.Machine) {
-		m.Reset()
+	cycle := func(w worker) {
+		m := w.ws.MachineFor(prog, w.opts)
 		if _, err := m.Run(); err != nil && runErr == nil {
 			runErr = err
 		}
 		if got := modelledStats(m.Stats); got != wantStats && runErr == nil {
-			runErr = fmt.Errorf("membench: modelled stats diverged across Reset+Run:\n got %+v\nwant %+v", got, wantStats)
+			runErr = fmt.Errorf("membench: modelled stats diverged across MachineFor+Run:\n got %+v\nwant %+v", got, wantStats)
 		}
 	}
 
@@ -168,7 +172,7 @@ func MeasureMemBench() (*MemBenchRecord, error) {
 
 	// The tier's allocation budget, measured after its warmup run paid
 	// promotion and compilation.
-	tiered, err := warm(true)
+	tiered, _, err := warm(true)
 	if err != nil {
 		return nil, err
 	}

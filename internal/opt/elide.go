@@ -97,6 +97,10 @@ func disqualifyStale(fn *mir.Func, elide []bool) {
 	// out[b] is the set of definitely-fresh vars at block exit; nil means
 	// "not yet computed" (⊤ for the intersection meet). The entry block
 	// starts empty: function entry follows a call, so nothing is fresh.
+	// blockIn returns nil (⊤) for a block none of whose predecessors has
+	// been computed yet; the fixpoint skips such a block rather than
+	// seeding it with ∅, so every entry set only ever shrinks and the
+	// iteration terminates.
 	out := make([]map[int]bool, n)
 	blockIn := func(bi int) map[int]bool {
 		if bi == 0 {
@@ -122,9 +126,6 @@ func disqualifyStale(fn *mir.Func, elide []bool) {
 				}
 			}
 		}
-		if !seeded {
-			return map[int]bool{}
-		}
 		return in
 	}
 	transfer := func(state map[int]bool, in *mir.Instr) {
@@ -144,6 +145,9 @@ func disqualifyStale(fn *mir.Func, elide []bool) {
 		changed = false
 		for bi := 0; bi < n; bi++ {
 			state := blockIn(bi)
+			if state == nil {
+				continue
+			}
 			for ii := range fn.Blocks[bi].Instrs {
 				transfer(state, &fn.Blocks[bi].Instrs[ii])
 			}
@@ -158,6 +162,9 @@ func disqualifyStale(fn *mir.Func, elide []bool) {
 	// and disqualify any candidate loaded while stale.
 	for bi := 0; bi < n; bi++ {
 		state := blockIn(bi)
+		if state == nil {
+			state = map[int]bool{} // unreachable: nothing is fresh
+		}
 		for ii := range fn.Blocks[bi].Instrs {
 			in := &fn.Blocks[bi].Instrs[ii]
 			if in.Op == mir.Load && in.Slot.Kind == mir.SlotVar {

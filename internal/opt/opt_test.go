@@ -2,6 +2,7 @@ package opt_test
 
 import (
 	"testing"
+	"time"
 
 	"rsti/internal/core"
 	"rsti/internal/opt"
@@ -117,5 +118,46 @@ func TestElidableVarsMechanismIndependent(t *testing.T) {
 				t.Fatalf("non-deterministic elide decision for var %d", v)
 			}
 		}
+	}
+}
+
+// TestOptimizedBuildsTerminate builds every workload program with the
+// optimizer on under each RSTI mechanism within a deadline. The elision
+// and redundant-auth fixpoints once seeded a block with no computed
+// predecessor as ∅ instead of ⊤, so its entry set could grow between
+// passes and the loop never settled (nbench bitfield and assignment,
+// CPython relu); a hang shows up here as a timeout, not a stuck suite.
+func TestOptimizedBuildsTerminate(t *testing.T) {
+	type failure struct {
+		name string
+		mech sti.Mechanism
+		err  error
+	}
+	done := make(chan []failure, 1)
+	go func() {
+		var fails []failure
+		for _, suite := range workload.SuiteOrder {
+			for _, w := range workload.AllSuites()[suite] {
+				c, err := core.Compile(w.Source)
+				if err != nil {
+					fails = append(fails, failure{w.Name, sti.None, err})
+					continue
+				}
+				for _, mech := range sti.RSTIMechanisms {
+					if _, err := c.BuildMode(mech, true); err != nil {
+						fails = append(fails, failure{w.Name, mech, err})
+					}
+				}
+			}
+		}
+		done <- fails
+	}()
+	select {
+	case fails := <-done:
+		for _, f := range fails {
+			t.Errorf("%s under %s: %v", f.name, f.mech, f.err)
+		}
+	case <-time.After(2 * time.Minute):
+		t.Fatal("optimizer-on builds of the workload suites did not finish within 2m (non-terminating fixpoint)")
 	}
 }

@@ -257,6 +257,9 @@ func optimizeFunc(fn *mir.Func, addrTaken []bool, stats *Stats) {
 	// entry block starts with nothing available. The first computed value
 	// of any block overestimates (intersection over the computed subset of
 	// predecessors), and iteration only shrinks it, so this terminates.
+	// blockIn returns nil (⊤) while no predecessor has been computed, and
+	// the fixpoint skips that block: seeding it with ∅ (⊥) instead would
+	// let its entry set grow on a later pass and the loop never settle.
 	out := make([]*state, n)
 	blockIn := func(bi int) *state {
 		if bi == 0 {
@@ -273,15 +276,15 @@ func optimizeFunc(fn *mir.Func, addrTaken []bool, stats *Stats) {
 				in.intersect(out[p])
 			}
 		}
-		if in == nil {
-			return newState()
-		}
 		return in
 	}
 	for changed := true; changed; {
 		changed = false
 		for bi := 0; bi < n; bi++ {
 			st := blockIn(bi)
+			if st == nil {
+				continue
+			}
 			for i := range fn.Blocks[bi].Instrs {
 				transfer(st, &fn.Blocks[bi].Instrs[i], addrTaken, nil)
 			}
@@ -306,6 +309,9 @@ func optimizeFunc(fn *mir.Func, addrTaken []bool, stats *Stats) {
 	for bi := 0; bi < n; bi++ {
 		blk := fn.Blocks[bi]
 		st := blockIn(bi)
+		if st == nil {
+			st = newState() // unreachable: nothing is available
+		}
 		kept := blk.Instrs[:0]
 		for i := range blk.Instrs {
 			in := &blk.Instrs[i]

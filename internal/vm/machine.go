@@ -125,7 +125,8 @@ type Machine struct {
 	// steady state of every pointer-chasing loop — skips the chunk-table
 	// walk and bounds-checks against the cached segment directly; a miss
 	// falls back to the full resolver and re-trains the slot. Per-machine
-	// mutable state sized by the image, allocated once at construction.
+	// mutable state sized by the image; bind clears it and grows it only
+	// when an image needs more slots than any before.
 	sites []*segment
 
 	// ctx, when non-nil, is polled at cancellation checkpoints in the
@@ -364,37 +365,44 @@ func decodeExt(t *ctypes.Type) extKind {
 	return extNone
 }
 
-// New builds a Machine for prog.
+// New builds a Machine for prog: a zero Machine bound to prog under opts.
 func New(prog *mir.Program, opts Options) *Machine {
-	if opts.Output == nil {
-		opts.Output = io.Discard
+	m := &Machine{ws: opts.Worker}
+	if m.ws == nil {
+		m.ws = NewWorkerState()
 	}
-	ws := opts.Worker
-	if ws == nil {
-		ws = NewWorkerState()
-	}
+	m.bind(prog, opts)
+	return m
+}
+
+// bind points m at prog under opts and returns it to the all-zero start
+// state of a freshly built machine, allocating only what m does not
+// already have room for. It is the single construction path: New binds a
+// zero Machine, and WorkerState.MachineFor rebinds the worker's resident
+// machine for every run, whatever program that run executes.
+//
+// Isolation: every memory byte the previous run wrote is zeroed (segments
+// track a write watermark, so the wipe is proportional to what was
+// actually dirtied, and an attack hook's far poke is wiped as surely as a
+// bump allocation) before the segments are re-sliced to this program's
+// sizes, so bounds checks and unmapped-address errors are exactly those
+// of a fresh NewMemory. String constants are restored, and all per-run
+// counters, hooks, externs, monomorphic site caches and scratch state are
+// cleared — a revived machine never leaks one run's register or memory
+// contents into the next. The PA unit's memo cache is deliberately kept
+// warm (it can only skip recomputing a PAC, never change one) and Stats
+// re-bases on its counters, so every run reports per-run deltas.
+func (m *Machine) bind(prog *mir.Program, opts Options) {
 	img := opts.Image
 	if img == nil || img.prog != prog {
 		img = NewImage(prog)
 	}
-	m := &Machine{
-		Prog:     prog,
-		Unit:     ws.unit(opts.PAConfig, opts.KeySeed),
-		ws:       ws,
-		img:      img,
-		cost:     opts.Cost,
-		out:      opts.Output,
-		hooks:    make(map[int64]Hook),
-		ppMods:   make(map[uint16]ppEntry),
-		maxSteps: opts.MaxSteps,
-		maxDepth: opts.MaxDepth,
-	}
-	m.pacHits0, m.pacMisses0 = m.Unit.CacheStats()
+	m.Prog, m.img = prog, img
+	m.Unit = m.ws.unit(opts.PAConfig, opts.KeySeed)
+	m.cost = opts.Cost
 	m.cycles = m.cost.cycleTable()
 	m.initClassPtrs()
-	if img.sites > 0 {
-		m.sites = make([]*segment, img.sites)
-	}
+	m.tier, m.tierThreshold = nil, 0
 	if opts.Tier {
 		m.tier = img.tierFor(opts.Cost)
 		m.tierThreshold = opts.TierThreshold
@@ -402,8 +410,18 @@ func New(prog *mir.Program, opts Options) *Machine {
 			m.tierThreshold = DefaultTierThreshold
 		}
 	}
+	if cap(m.sites) < int(img.sites) {
+		m.sites = make([]*segment, img.sites)
+	} else {
+		m.sites = m.sites[:img.sites]
+		clear(m.sites)
+	}
 
-	m.Mem = NewMemory(img.gsize+16, img.ssize+16, opts.HeapSize, opts.StackSize)
+	if m.Mem == nil {
+		m.Mem = NewMemory(img.gsize+16, img.ssize+16, opts.HeapSize, opts.StackSize)
+	} else {
+		m.Mem.reuse(img.gsize+16, img.ssize+16, opts.HeapSize, opts.StackSize)
+	}
 	for i, s := range prog.Strings {
 		b, err := m.Mem.Bytes(img.stringAddr[i], len(s)+1)
 		if err != nil {
@@ -416,7 +434,24 @@ func New(prog *mir.Program, opts Options) *Machine {
 	m.heapEnd = HeapBase + uint64(opts.HeapSize)
 	m.stackNext = StackBase
 	m.stackEnd = StackBase + uint64(opts.StackSize)
-	return m
+
+	m.SetOutput(opts.Output)
+	m.maxSteps, m.maxDepth = opts.MaxSteps, opts.MaxDepth
+	m.Stats = Stats{}
+	m.steps = 0
+	m.scratchCount = 0
+	m.frames = m.frames[:0]
+	m.exitCode = nil
+	m.tErr, m.tRet, m.segBatched = nil, 0, false
+	m.ctx = nil
+	clear(m.hooks)
+	clear(m.externs)
+	if m.ppMods == nil {
+		m.ppMods = make(map[uint16]ppEntry)
+	} else {
+		clear(m.ppMods)
+	}
+	m.pacHits0, m.pacMisses0 = m.Unit.CacheStats()
 }
 
 // SetContext installs a context whose cancellation the interpreter
@@ -431,59 +466,11 @@ func (m *Machine) SetContext(ctx context.Context) {
 }
 
 // SetOutput redirects program output (nil restores the discard sink).
-// Reused machines get a fresh per-run writer this way instead of being
-// rebuilt around one.
 func (m *Machine) SetOutput(w io.Writer) {
 	if w == nil {
 		w = io.Discard
 	}
 	m.out = w
-}
-
-// Reset returns the machine to its just-constructed state without
-// allocating, so one machine can serve run after run of the same build:
-// every memory byte the previous run wrote is zeroed (segments track a
-// write watermark, so the wipe is proportional to what was actually
-// dirtied, and an attack hook's far poke is wiped as surely as a bump
-// allocation), string constants are restored, and all per-run counters,
-// hooks, externs and scratch state are cleared — a recycled arena never
-// leaks one run's register or memory contents into the next. The PA
-// unit's memo cache is deliberately kept warm (it can only skip
-// recomputing a PAC, never change one) and Stats re-bases on its
-// counters, so the next run still reports per-run deltas. The fused
-// superinstructions' monomorphic segment caches survive too: the memory
-// layout is identical across runs of one machine, so a trained site stays
-// correct. See WorkerState.MachineFor for the serving-side entry point
-// and the AllocBudget tests for the zero-allocation contract.
-func (m *Machine) Reset() {
-	for i := range m.Mem.segs {
-		s := &m.Mem.segs[i]
-		if s.hi > 0 {
-			clear(s.data[:s.hi])
-			s.hi = 0
-		}
-	}
-	for i, str := range m.Prog.Strings {
-		b, err := m.Mem.Bytes(m.img.stringAddr[i], len(str)+1)
-		if err != nil {
-			panic(err)
-		}
-		copy(b, str)
-		b[len(str)] = 0
-	}
-	m.Stats = Stats{}
-	m.steps = 0
-	m.scratchCount = 0
-	m.heapNext = HeapBase
-	m.stackNext = StackBase
-	m.frames = m.frames[:0]
-	m.exitCode = nil
-	m.tErr, m.tRet, m.segBatched = nil, 0, false
-	m.ctx = nil
-	clear(m.hooks)
-	clear(m.externs)
-	clear(m.ppMods)
-	m.pacHits0, m.pacMisses0 = m.Unit.CacheStats()
 }
 
 // monoLoad is the load half of the fused superinstructions' inline
@@ -504,7 +491,8 @@ func (m *Machine) monoLoad(site uint32, addr uint64, n int) (uint64, error) {
 }
 
 // monoStore is monoLoad's store half; it also advances the segment's
-// write watermark the way Memory.Store does, so Reset wipes the write.
+// write watermark the way Memory.Store does, so the next bind wipes the
+// write.
 func (m *Machine) monoStore(site uint32, addr uint64, v uint64, n int) error {
 	if s := m.sites[site]; s != nil && addr >= s.base && addr+uint64(n) <= s.base+uint64(len(s.data)) {
 		off := int(addr - s.base)
@@ -570,7 +558,12 @@ func (m *Machine) regWatermark(f *mir.Func) int {
 }
 
 // RegisterHook installs an attack callback for __hook(id).
-func (m *Machine) RegisterHook(id int64, h Hook) { m.hooks[id] = h }
+func (m *Machine) RegisterHook(id int64, h Hook) {
+	if m.hooks == nil {
+		m.hooks = make(map[int64]Hook)
+	}
+	m.hooks[id] = h
+}
 
 // FuncToken returns the entry token of a function — what a code pointer
 // to it looks like in memory.

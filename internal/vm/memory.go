@@ -41,29 +41,55 @@ type segment struct {
 	base uint64
 	data []byte
 	// hi is the write watermark: one past the highest offset any Store or
-	// Bytes view has touched since the last Reset. Store and Bytes are the
-	// only mutation funnels (Poke routes through Store; attack hooks and
-	// builtins use Bytes), so wiping data[:hi] on Machine.Reset restores a
-	// provably pristine segment at cost proportional to the bytes actually
-	// dirtied, not the segment size.
+	// Bytes view has touched since the segment was last sized. Store and
+	// Bytes are the only mutation funnels (Poke routes through Store;
+	// attack hooks and builtins use Bytes), so wiping data[:hi] restores
+	// a provably pristine segment at cost proportional to the bytes
+	// actually dirtied, not the segment size.
 	hi int
 }
 
 // NewMemory builds the standard segment layout.
 func NewMemory(globalsSize, stringsSize, heapSize, stackSize int) *Memory {
 	m := &Memory{segs: []segment{
-		{name: "globals", base: GlobalsBase, data: make([]byte, globalsSize)},
-		{name: "strings", base: StringsBase, data: make([]byte, stringsSize)},
-		{name: "heap", base: HeapBase, data: make([]byte, heapSize)},
-		{name: "stack", base: StackBase, data: make([]byte, stackSize)},
+		{name: "globals", base: GlobalsBase},
+		{name: "strings", base: StringsBase},
+		{name: "heap", base: HeapBase},
+		{name: "stack", base: StackBase},
 	}}
+	m.reuse(globalsSize, stringsSize, heapSize, stackSize)
+	return m
+}
+
+// reuse returns m to the all-zero state NewMemory builds, at the given
+// segment sizes. Each segment's dirtied prefix data[:hi] is wiped first,
+// so every byte of every backing array is zero again; the segment is then
+// re-sliced to its exact new length, and a backing array is allocated only
+// when its capacity is short. Bounds checks read len(data), so what is
+// mapped — and every unmapped-address error — is exactly a fresh
+// NewMemory's. Segment pointers stay stable across reuse.
+func (m *Memory) reuse(globalsSize, stringsSize, heapSize, stackSize int) {
+	sizes := [...]int{globalsSize, stringsSize, heapSize, stackSize}
 	var top uint64
-	for _, s := range m.segs {
+	for i := range m.segs {
+		s := &m.segs[i]
+		clear(s.data[:s.hi])
+		s.hi = 0
+		if n := sizes[i]; cap(s.data) >= n {
+			s.data = s.data[:n]
+		} else {
+			s.data = make([]byte, n)
+		}
 		if end := s.base + uint64(len(s.data)); end > top {
 			top = end
 		}
 	}
-	m.byChunk = make([]*segment, top>>chunkShift+1)
+	if n := int(top>>chunkShift) + 1; cap(m.byChunk) >= n {
+		m.byChunk = m.byChunk[:n]
+		clear(m.byChunk)
+	} else {
+		m.byChunk = make([]*segment, n)
+	}
 	for i := range m.segs {
 		s := &m.segs[i]
 		if len(s.data) == 0 {
@@ -73,7 +99,6 @@ func NewMemory(globalsSize, stringsSize, heapSize, stackSize int) *Memory {
 			m.byChunk[c] = s
 		}
 	}
-	return m
 }
 
 func (m *Memory) find(addr uint64, n int) (*segment, int, error) {

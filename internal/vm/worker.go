@@ -24,33 +24,16 @@ type WorkerState struct {
 	argScratch []uint64
 	units      map[unitKey]*pa.Unit
 
-	// mach is the worker's resident machine: the last machine MachineFor
-	// built, kept for Reset-based reuse when the next run wants the same
-	// (image, config) shape. One slot, not a keyed cache — a machine pins
-	// its full Memory (megabytes), and real serving traffic is either
-	// monomorphic per worker or cheap to rebuild, exactly as cheap as the
-	// per-run vm.New it replaces.
-	mach    *Machine
-	machKey machineKey
+	// mach is the worker's resident machine, rebound by MachineFor for
+	// every run whatever program it executes. One machine, not a keyed
+	// cache: it pins its full Memory (megabytes), and a serving worker's
+	// traffic rotates across many programs and mechanisms, so the machine
+	// is reused across programs rather than rebuilt on each switch.
+	mach *Machine
 
 	// outBuf is the reusable output capture buffer, loaned out via
 	// OutputBuffer and returned (possibly grown) via StowOutputBuffer.
 	outBuf []byte
-}
-
-// machineKey is everything about an Options that shapes a constructed
-// Machine and cannot be re-pointed on an existing one. MaxSteps, MaxDepth
-// and Output are deliberately absent: they are plain per-run settings
-// MachineFor re-applies on reuse.
-type machineKey struct {
-	img   *Image
-	cfg   pa.Config
-	seed  uint64
-	heap  int
-	stack int
-	cost  CostModel
-	tier  bool
-	thr   int64
 }
 
 // unitKey identifies a PA unit by everything that determines its keys and
@@ -78,48 +61,19 @@ func (ws *WorkerState) unit(cfg pa.Config, seed uint64) *pa.Unit {
 	return u
 }
 
-// MachineFor returns a machine prepared to run prog under opts, reusing
-// the worker's resident machine when the run shape matches: same shared
-// image, PA config, key seed, memory sizes, cost model and tier setting.
-// A match costs one Reset (no allocation — see Machine.Reset for the
-// isolation argument); a mismatch builds a fresh machine exactly as
-// vm.New would and installs it as the new resident. Requires opts.Image
-// to be the shared image for prog — without one there is nothing to key
-// reuse on and MachineFor just builds privately.
+// MachineFor returns the worker's resident machine (built on first use)
+// bound to run prog under opts. Binding reuses the machine's memory,
+// site-cache and map storage for any program and configuration, so once
+// the worker has seen its largest image and memory sizes a run allocates
+// nothing — see Machine.bind for the isolation argument. opts.Image should
+// be the shared image for prog; without one, bind predecodes privately.
+// The returned machine is valid until the worker's next MachineFor.
 func (ws *WorkerState) MachineFor(prog *mir.Program, opts Options) *Machine {
-	img := opts.Image
-	if img == nil || img.prog != prog {
-		opts.Worker = ws
-		return New(prog, opts)
+	if ws.mach == nil {
+		ws.mach = &Machine{ws: ws}
 	}
-	thr := opts.TierThreshold
-	if opts.Tier && thr <= 0 {
-		thr = DefaultTierThreshold
-	}
-	if !opts.Tier {
-		thr = 0
-	}
-	k := machineKey{
-		img:   img,
-		cfg:   opts.PAConfig,
-		seed:  opts.KeySeed,
-		heap:  opts.HeapSize,
-		stack: opts.StackSize,
-		cost:  opts.Cost,
-		tier:  opts.Tier,
-		thr:   thr,
-	}
-	if m := ws.mach; m != nil && ws.machKey == k {
-		m.maxSteps = opts.MaxSteps
-		m.maxDepth = opts.MaxDepth
-		m.SetOutput(opts.Output)
-		m.Reset()
-		return m
-	}
-	opts.Worker = ws
-	m := New(prog, opts)
-	ws.mach, ws.machKey = m, k
-	return m
+	ws.mach.bind(prog, opts)
+	return ws.mach
 }
 
 // OutputBuffer loans out the worker's reusable output buffer (length 0,
