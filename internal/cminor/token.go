@@ -215,7 +215,9 @@ func NewLexer(src string) *Lexer {
 // Lex tokenizes the whole input.
 func Lex(src string) ([]Token, error) {
 	lx := NewLexer(src)
-	var toks []Token
+	// C sources here run a little over three bytes per token, so one
+	// allocation usually holds them all.
+	toks := make([]Token, 0, len(src)/3+1)
 	for {
 		t, err := lx.Next()
 		if err != nil {

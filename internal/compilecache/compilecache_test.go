@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rsti/internal/core"
 )
@@ -59,13 +60,11 @@ func TestSingleflightDedupesConcurrentGets(t *testing.T) {
 	src := program(2)
 	const waiters = 8
 	results := make([]*core.Compilation, waiters)
-	var started, wg sync.WaitGroup
-	started.Add(waiters)
+	var wg sync.WaitGroup
 	wg.Add(waiters)
 	for i := 0; i < waiters; i++ {
 		go func(i int) {
 			defer wg.Done()
-			started.Done()
 			comp, err := c.Get(src)
 			if err != nil {
 				t.Error(err)
@@ -73,7 +72,14 @@ func TestSingleflightDedupesConcurrentGets(t *testing.T) {
 			results[i] = comp
 		}(i)
 	}
-	started.Wait()
+	// Release the flight only once every other Get has joined it: a Get
+	// that arrives after the release finds the stored entry and counts as
+	// a hit, not a dedup. The cache exposes no join event, so poll its
+	// counter under a deadline.
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Stats().Dedups < waiters-1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	close(release)
 	wg.Wait()
 	if n := calls.Load(); n != 1 {

@@ -32,7 +32,6 @@ import (
 // build in parallel and duplicate Build(mech) calls block only on their
 // own mechanism.
 type Compilation struct {
-	File     *cminor.File
 	Prog     *mir.Program
 	Analysis *sti.Analysis
 
@@ -202,7 +201,6 @@ func Compile(src string) (*Compilation, error) {
 		return nil, fmt.Errorf("lower: %w", err)
 	}
 	return &Compilation{
-		File:     f,
 		Prog:     prog,
 		Analysis: sti.Analyze(prog),
 		builds:   make(map[buildKey]*buildCell),
@@ -213,8 +211,8 @@ func Compile(src string) (*Compilation, error) {
 // from a disk artifact — as a Compilation: it verifies the IR, reruns the
 // STI analysis (deterministic, so PAC modifiers and scope metadata come
 // out exactly as the original compile produced them), and leaves builds
-// to materialize lazily as usual. The frontend AST is not reconstructed
-// (File is nil); nothing downstream of Compile reads it.
+// to materialize lazily as usual. A Compilation never holds the frontend
+// AST, so the two constructors produce the same shape.
 func FromProgram(prog *mir.Program) (*Compilation, error) {
 	if err := prog.Verify(); err != nil {
 		return nil, fmt.Errorf("reloaded program: %w", err)

@@ -186,11 +186,10 @@ type lowerer struct {
 	file *cminor.File
 
 	fn      *mir.Func
-	cur     *mir.Block
+	e       *mir.Emitter // the function's instructions until endFunc
 	nextReg int
 	slots   map[int]mir.Reg // VarSym.ID -> register holding the slot address
 	loops   []loopCtx
-	allocas []mir.Instr // hoisted to the entry block at endFunc
 	err     error
 
 	// Function-local string pool. StrConst Imm values index this pool
@@ -218,7 +217,7 @@ func (lw *lowerer) addString(s string) int {
 func (lw *lowerer) emitAlloca(in mir.Instr) mir.Reg {
 	in.Dst = lw.reg()
 	in.A, in.B = mir.NoReg, mir.NoReg
-	lw.allocas = append(lw.allocas, in)
+	lw.e.Hoist(in)
 	return in.Dst
 }
 
@@ -227,8 +226,8 @@ func (lw *lowerer) beginFunc(f *mir.Func, params []*cminor.Param) {
 	lw.nextReg = len(params)
 	lw.slots = make(map[int]mir.Reg)
 	lw.loops = nil
-	lw.allocas = nil
-	lw.cur = f.NewBlock("entry")
+	lw.e = mir.NewEmitter()
+	lw.setBlock(f.NewBlock("entry"))
 	for i, prm := range params {
 		if prm.Sym == nil {
 			continue
@@ -242,9 +241,7 @@ func (lw *lowerer) beginFunc(f *mir.Func, params []*cminor.Param) {
 }
 
 func (lw *lowerer) endFunc() {
-	entry := lw.fn.Blocks[0]
-	entry.Instrs = append(append([]mir.Instr(nil), lw.allocas...), entry.Instrs...)
-	if !lw.cur.Terminated() {
+	if !lw.e.Terminated() {
 		if lw.fn.Ret.Kind == ctypes.Void {
 			lw.emit(mir.Instr{Op: mir.RetOp, A: mir.NoReg})
 		} else {
@@ -253,6 +250,9 @@ func (lw *lowerer) endFunc() {
 		}
 	}
 	lw.fn.NumRegs = lw.nextReg
+	lw.e.Finish(lw.fn)
+	lw.e.Release()
+	lw.e = nil
 }
 
 func (lw *lowerer) lowerFunc(fn *cminor.FuncDecl, mf *mir.Func) error {
@@ -297,7 +297,7 @@ func (lw *lowerer) emit(in mir.Instr) {
 			in.B = mir.NoReg
 		}
 	}
-	lw.cur.Instrs = append(lw.cur.Instrs, in)
+	lw.e.Emit(in)
 }
 
 func (lw *lowerer) emitDst(in mir.Instr) mir.Reg {
@@ -308,16 +308,16 @@ func (lw *lowerer) emitDst(in mir.Instr) mir.Reg {
 
 func (lw *lowerer) newBlock(name string) *mir.Block { return lw.fn.NewBlock(name) }
 
-func (lw *lowerer) setBlock(b *mir.Block) { lw.cur = b }
+func (lw *lowerer) setBlock(b *mir.Block) { lw.e.SetBlock(b.Index) }
 
 func (lw *lowerer) jump(to *mir.Block) {
-	if !lw.cur.Terminated() {
+	if !lw.e.Terminated() {
 		lw.emit(mir.Instr{Op: mir.Jmp, Dst: mir.NoReg, A: mir.NoReg, B: mir.NoReg, Targets: [2]int{to.Index}})
 	}
 }
 
 func (lw *lowerer) branch(cond mir.Reg, t, f *mir.Block) {
-	if !lw.cur.Terminated() {
+	if !lw.e.Terminated() {
 		lw.emit(mir.Instr{Op: mir.Br, Dst: mir.NoReg, A: cond, B: mir.NoReg, Targets: [2]int{t.Index, f.Index}})
 	}
 }

@@ -177,11 +177,13 @@ type Block struct {
 }
 
 // Terminated reports whether the block already ends in a terminator.
-func (b *Block) Terminated() bool {
-	if len(b.Instrs) == 0 {
+func (b *Block) Terminated() bool { return terminated(b.Instrs) }
+
+func terminated(instrs []Instr) bool {
+	if len(instrs) == 0 {
 		return false
 	}
-	switch b.Instrs[len(b.Instrs)-1].Op {
+	switch instrs[len(instrs)-1].Op {
 	case RetOp, Jmp, Br:
 		return true
 	}

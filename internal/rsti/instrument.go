@@ -164,7 +164,8 @@ func InstrumentWithOptions(prog *mir.Program, an *sti.Analysis, mech sti.Mechani
 	}
 
 	if workers <= 1 {
-		ins := &inserter{prog: out, an: an, mech: mech, stats: stats, opts: opts, rawConvention: raw}
+		ins := &inserter{prog: out, an: an, mech: mech, stats: stats, opts: opts, rawConvention: raw, e: mir.NewEmitter()}
+		defer ins.e.Release()
 		for _, u := range units {
 			if err := ins.instrumentFunc(u.dst, u.src); err != nil {
 				return nil, nil, err
@@ -186,7 +187,8 @@ func InstrumentWithOptions(prog *mir.Program, an *sti.Analysis, mech sti.Mechani
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				ins := &inserter{prog: out, an: an, mech: mech, stats: &parts[w], opts: opts, rawConvention: raw}
+				ins := &inserter{prog: out, an: an, mech: mech, stats: &parts[w], opts: opts, rawConvention: raw, e: mir.NewEmitter()}
+				defer ins.e.Release()
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= len(units) {
@@ -286,7 +288,7 @@ type inserter struct {
 
 	fn  *mir.Func
 	sig []signature
-	out []mir.Instr
+	e   *mir.Emitter
 
 	// Memoization of Analysis lookups. Modifier resolution hashes an
 	// interned key string on every call; a function body revisits the same
@@ -297,14 +299,8 @@ type inserter struct {
 	escMods  map[*ctypes.Type]uint64
 	feMods   map[*ctypes.Type]uint64
 
-	// Reused scratch storage (per worker): the signature buffer, the
-	// instruction accumulator shared by every block of a function, and the
-	// block boundary list. Final per-function storage is one exact-size
-	// arena, so the steady-state pass allocates once per function.
-	sigBuf    []signature
-	scratch   []mir.Instr
-	blockEnds []int
-	argArena  []mir.Reg // per-function call-argument storage (exact-size)
+	sigBuf   []signature // reused across the functions a worker handles
+	argArena []mir.Reg   // per-function call-argument storage (exact-size)
 }
 
 // slotKey identifies a slot-modifier lookup: the Slot identity plus the
@@ -333,7 +329,7 @@ func (ins *inserter) newReg() mir.Reg {
 	return r
 }
 
-func (ins *inserter) emit(in mir.Instr) { ins.out = append(ins.out, in) }
+func (ins *inserter) emit(in mir.Instr) { ins.e.Emit(in) }
 
 func (ins *inserter) setSig(r mir.Reg, s signature) {
 	for r >= len(ins.sig) {
@@ -560,29 +556,14 @@ func (ins *inserter) instrumentFunc(fn, src *mir.Func) error {
 	}
 	ins.argArena = make([]mir.Reg, 0, nArgs)
 
-	// Emit every block into one reused scratch accumulator, recording
-	// block boundaries, then copy into a single exact-size arena the
-	// blocks subslice (capacity-capped, so blocks stay independent). The
-	// steady state allocates one instruction backing array per function
-	// instead of a 2x-capacity guess per block.
-	ins.out = ins.scratch[:0]
-	ins.blockEnds = ins.blockEnds[:0]
-	for _, blk := range src.Blocks {
+	for i, blk := range src.Blocks {
+		ins.e.SetBlock(i)
 		for idx := range blk.Instrs {
 			in := blk.Instrs[idx] // copy
 			ins.instr(&in, fo)
 		}
-		ins.blockEnds = append(ins.blockEnds, len(ins.out))
 	}
-	arena := make([]mir.Instr, len(ins.out))
-	copy(arena, ins.out)
-	start := 0
-	for i, blk := range fn.Blocks {
-		end := ins.blockEnds[i]
-		blk.Instrs = arena[start:end:end]
-		start = end
-	}
-	ins.scratch = ins.out[:0]
+	ins.e.Finish(fn)
 
 	// Retain grown buffers for the next function this worker handles.
 	if cap(ins.sig) > cap(ins.sigBuf) {
@@ -592,7 +573,7 @@ func (ins *inserter) instrumentFunc(fn, src *mir.Func) error {
 }
 
 // instr rewrites one instruction, emitting it (plus any inserted PA ops)
-// into ins.out.
+// into the current block.
 func (ins *inserter) instr(in *mir.Instr, fo *sti.FuncOrigins) {
 	switch in.Op {
 	case mir.Load:
@@ -683,21 +664,18 @@ func (ins *inserter) instr(in *mir.Instr, fo *sti.FuncOrigins) {
 	case mir.CastOp:
 		// Pointer bitcasts carry the signature through; the re-signing
 		// cost appears at the consuming slot or call (Figure 5a's pairs).
+		ptrCast := in.Ty != nil && in.Ty.IsPointer() && in.FromTy != nil && in.FromTy.IsPointer()
+		if in.Dst != mir.NoReg && !ptrCast && ins.sigOf(in.A).kind != sigRaw {
+			// Any other cast yields a value that is freely computable
+			// (an integer keeps the pointer's bits), so authenticate
+			// before converting.
+			in.A = ins.auth(in.A)
+		}
 		ins.emit(*in)
 		if in.Dst != mir.NoReg {
-			if in.Ty != nil && in.Ty.IsPointer() && in.FromTy != nil && in.FromTy.IsPointer() {
+			if ptrCast {
 				ins.setSig(in.Dst, ins.sigOf(in.A))
 			} else {
-				// Non-pointer casts need raw input semantics only when
-				// the value is consumed arithmetically; int<->pointer
-				// casts keep bits, so keep the signature for ptr->int?
-				// No: an integer is freely computable, so authenticate.
-				if s := ins.sigOf(in.A); s.kind != sigRaw {
-					// Rewrite: authenticate before converting.
-					ins.out = ins.out[:len(ins.out)-1]
-					in.A = ins.auth(in.A)
-					ins.emit(*in)
-				}
 				ins.setSig(in.Dst, rawSig())
 			}
 		}

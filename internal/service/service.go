@@ -50,7 +50,8 @@ import (
 )
 
 // maxSourceBytes bounds accepted request bodies; DefaultMaxPrograms
-// bounds the compiled-program handle table (FIFO eviction).
+// bounds the compiled-program handle table (the least recently compiled
+// program is evicted first).
 const (
 	maxSourceBytes     = 1 << 20
 	DefaultMaxPrograms = 128
@@ -117,7 +118,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	programs map[string]*core.Compilation
-	order    []string // insertion order for FIFO eviction
+	order    []string // eviction order: least recently compiled first
 
 	scenarios map[string]*attack.Scenario
 
@@ -368,6 +369,7 @@ func (s *Server) compile(src string) (string, *core.Compilation, bool, error) {
 	key := hex.EncodeToString(sum[:])
 	s.mu.Lock()
 	if c, ok := s.programs[key]; ok {
+		s.touch(key)
 		s.mu.Unlock()
 		// The handle table is a cache level above the compile cache; count
 		// the hit there so metrics lookups reflect request traffic.
@@ -387,6 +389,7 @@ func (s *Server) compile(src string) (string, *core.Compilation, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if have, ok := s.programs[key]; ok {
+		s.touch(key)
 		return key, have, true, nil
 	}
 	if len(s.order) >= s.maxPrograms {
@@ -396,6 +399,20 @@ func (s *Server) compile(src string) (string, *core.Compilation, bool, error) {
 	s.programs[key] = c
 	s.order = append(s.order, key)
 	return key, c, false, nil
+}
+
+// touch moves key to the back of the eviction order, so a handle that
+// compile has just returned outlives the next MaxPrograms-1 new programs
+// and the caller's following run by that handle finds it. Callers hold
+// s.mu.
+func (s *Server) touch(key string) {
+	for i, k := range s.order {
+		if k == key {
+			copy(s.order[i:], s.order[i+1:])
+			s.order[len(s.order)-1] = key
+			return
+		}
+	}
 }
 
 func (s *Server) lookup(key string) (*core.Compilation, bool) {

@@ -392,3 +392,33 @@ func TestProgramCacheEviction(t *testing.T) {
 		t.Errorf("cache holds %d programs (%d in order), cap is %d", n, order, DefaultMaxPrograms)
 	}
 }
+
+// TestCompileHitKeepsHandleLive: compiling a program the handle table
+// already holds makes it the newest entry, so the handle just returned
+// survives the next programs compiled by other clients and a run by it
+// does not 404 even when the program was the oldest entry.
+func TestCompileHitKeepsHandleLive(t *testing.T) {
+	s := New(Config{Workers: 1, Queue: 4})
+	defer s.Close()
+	src := func(i int) string { return fmt.Sprintf("int main(void) { return %d; }", i) }
+	for i := 0; i < DefaultMaxPrograms; i++ {
+		if _, _, _, err := s.compile(src(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldest, _, cached, err := s.compile(src(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cached {
+		t.Fatal("recompiling a program the table holds was not a hit")
+	}
+	for i := DefaultMaxPrograms; i < 2*DefaultMaxPrograms-1; i++ {
+		if _, _, _, err := s.compile(src(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := s.lookup(oldest); !ok {
+		t.Fatalf("handle returned by a compile hit was evicted after %d newer programs", DefaultMaxPrograms-1)
+	}
+}
